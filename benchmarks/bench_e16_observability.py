@@ -4,7 +4,7 @@ PR 10 threads one :class:`repro.obs.MetricRegistry` through the whole
 pipeline — batch timers, per-stage histograms, per-query alert counters,
 watermark-lag gauges — and the design bet is that a handful of
 ``perf_counter`` reads per *batch* (never per event) keeps the cost in
-the noise.  This experiment prices that bet on the E12 workload (the E4
+the noise.  This experiment prices that bet on one workload (the E4
 query triple deployed host-by-host, 24 queries over a 16-host enterprise
 stream, batch 512): the same stream is executed with metrics enabled
 (the default) and with a disabled registry (every hook a no-op, clock
@@ -27,17 +27,21 @@ import time
 import pytest
 
 from benchmarks.bench_e8_sharded_scaling import _fingerprints
-from benchmarks.bench_e12_columnar_scaling import (BATCH_SIZE,
-                                                   WATCHED_HOSTS,
-                                                   _workload_arm)
 from benchmarks.conftest import (bench_scale, fresh_stream, print_table,
                                  record_rate)
 from repro.collection import Enterprise, EnterpriseConfig
 from repro.core import ConcurrentQueryScheduler
 from repro.obs import MetricRegistry
+from repro.queries.demo_queries import (outlier_exfiltration,
+                                        rule_c5_data_exfiltration,
+                                        timeseries_network_spike)
 
-#: Query count for both arms (the e12 mid-point, past the sharing knee).
+#: Query count for both arms (past the predicate-sharing knee).
 QUERY_COUNT = 24
+#: Events per ingest batch.
+BATCH_SIZE = 512
+#: Hosts the queries watch, out of the stream's 16.
+WATCHED_HOSTS = 8
 #: Timed repeats per arm; arms are interleaved and the best rate kept.
 REPEATS = 3
 #: Full-scale acceptance bar: metrics-on keeps >= 95% of metrics-off.
@@ -51,7 +55,7 @@ EXPECTED_FAMILIES = ("saql_events_total", "saql_batches_total",
 
 @pytest.fixture(scope="module")
 def wide_enterprise():
-    """Sixteen hosts; the arm watches 8 (the E12 topology, verbatim)."""
+    """Sixteen hosts; the arm watches 8, so global filters stay selective."""
     return Enterprise(EnterpriseConfig(seed=7, extra_desktops=9,
                                        extra_web_servers=3))
 
@@ -60,6 +64,29 @@ def wide_enterprise():
 def wide_events(wide_enterprise):
     """Thirty minutes of background events across all 16 hosts."""
     return wide_enterprise.background_events(0.0, 1800.0 * bench_scale())
+
+
+def _workload_arm(hosts, count):
+    """``count`` queries: equal thirds of the E4 triple over ``hosts``.
+
+    Kind-major assignment (all rule-C5 slots first, then timeseries, then
+    outlier) keeps exactly one third of each query kind.
+    """
+    queries = []
+    per_kind = count // 3
+    for index in range(count):
+        kind = min(index // per_kind, 2)
+        host = hosts[index % len(hosts)]
+        if kind == 0:
+            text = rule_c5_data_exfiltration(agent=host)
+        elif kind == 1:
+            text = timeseries_network_spike(floor_bytes=500000 + index,
+                                            agent=host)
+        else:
+            text = outlier_exfiltration(floor_bytes=5000000 + index,
+                                        agent=host)
+        queries.append((f"q{index:02d}-{host}", text))
+    return queries
 
 
 def _timed_run(queries, events, enabled):

@@ -38,9 +38,10 @@ whole batch per machine word instead of per Python-level element.  The
 kernels are deliberately pure Python: column values are heterogeneous
 Python objects (strings with LIKE wildcards, numeric strings under SAQL
 coercion), so the win is evaluating each distinct predicate *once*, not
-SIMD.  The per-event closures remain the ``columnar=False`` oracle;
-``tests/compile/test_columnar_equivalence.py`` enforces alert-for-alert
-parity between the two modes.
+SIMD.  Batches below the scheduler's ``DEFAULT_COLUMNAR_MIN_BATCH`` run
+the per-event compiled closures instead;
+``tests/compile/test_columnar_equivalence.py`` holds both batch shapes
+alert-for-alert to the AST interpreter.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class MultieventMatcher:
         Used by the concurrent scheduler, where a dependent query reuses the
         pattern matches computed by its master query.
         """
-        self._expire(event.timestamp)
+        self.expire(event.timestamp)
         if not matches:
             return []
         if len(self._aliases) == 1:
@@ -132,7 +132,8 @@ class MultieventMatcher:
 
     # -- sequence bookkeeping ------------------------------------------------
 
-    def _expire(self, now: float) -> None:
+    def expire(self, now: float) -> None:
+        """Drop partial sequences started more than the horizon before now."""
         if not self._partials:
             return
         cutoff = now - self._horizon

@@ -180,36 +180,31 @@ class QueryEngine:
         """Feed a batch of events with externally computed pattern matches.
 
         This is the batch counterpart of :meth:`process_matches` (and what
-        the concurrent scheduler's batch ingestion path calls): matches are
+        the concurrent scheduler's ingestion path calls): matches are
         folded in per event, but the per-event engine call chain collapses
-        to one call per batch.  For stateful queries the window-closing
-        watermark advances once, at the batch tail — safe because the
-        watermark is monotone in event time and matches never join windows
-        that are already due, so the closed windows, their contents and
-        their closing order are identical to per-event feeding; only the
-        point within the batch at which close-alerts surface moves to the
-        batch tail.  For rule queries, events without matches are skipped
-        entirely: they can neither extend nor complete a sequence, and
-        partial-sequence expiry is cutoff-monotone, so the next match
-        prunes the same partials the skipped calls would have.
+        to one call per batch, with the same alerts as per-event feeding.
+        For stateful queries the window-closing watermark advances at the
+        batch tail, and also before any event older than its predecessor:
+        within a run of non-decreasing timestamps matches never join
+        windows that are already due, so deferring the close to the end of
+        the run closes the same windows with the same contents in the same
+        order, while an out-of-order event may belong to a window per-event
+        feeding would already have closed.  For rule queries, events
+        without matches are skipped: they can neither extend nor complete a
+        sequence, and only the latest of their timestamps matters for
+        partial-sequence expiry, which is applied before the next matched
+        event (and at the batch tail) whenever it reaches further.
         """
+        self.events_processed += len(pairs)
         if self._state_maintainer is None:
-            alerts: List[Alert] = []
-            for event, matches in pairs:
-                self.events_processed += 1
-                if not matches:
-                    continue
-                try:
-                    alerts.extend(self._process_rule(event, matches))
-                except SAQLError as error:
-                    if self._error_reporter is None:
-                        raise
-                    self._error_reporter.report(self.name, error,
-                                                timestamp=event.timestamp)
-            return alerts
-        last_event: Optional[Event] = None
+            return self._process_rule_batch(pairs)
+        alerts: List[Alert] = []
+        previous: Optional[Event] = None
+        latest = float("-inf")  # previous.timestamp
         for event, matches in pairs:
-            self.events_processed += 1
+            timestamp = event.timestamp
+            if timestamp < latest:
+                alerts.extend(self._close_windows_after(previous))
             if matches:
                 try:
                     self._accumulate_matches(matches)
@@ -217,12 +212,47 @@ class QueryEngine:
                     if self._error_reporter is None:
                         raise
                     self._error_reporter.report(self.name, error,
-                                                timestamp=event.timestamp)
-            last_event = event
-        if last_event is None:
-            return []
+                                                timestamp=timestamp)
+            previous = event
+            latest = timestamp
+        if previous is not None:
+            alerts.extend(self._close_windows_after(previous))
+        return alerts
+
+    def _process_rule_batch(
+            self, pairs: Sequence[Tuple[Event, Sequence[PatternMatch]]]
+    ) -> List[Alert]:
+        alerts: List[Alert] = []
+        matcher = self._matcher
+        # Skipped events only matter while partial sequences exist (they
+        # expire them); only matched events create partials.
+        tracking = matcher.pending_sequences > 0
+        skipped: Optional[float] = None  # their latest timestamp
+        for event, matches in pairs:
+            if not matches:
+                if tracking and (skipped is None
+                                 or event.timestamp > skipped):
+                    skipped = event.timestamp
+                continue
+            if skipped is not None and skipped > event.timestamp:
+                matcher.expire(skipped)
+            skipped = None
+            try:
+                alerts.extend(self._process_rule(event, matches))
+            except SAQLError as error:
+                if self._error_reporter is None:
+                    raise
+                self._error_reporter.report(self.name, error,
+                                            timestamp=event.timestamp)
+            tracking = matcher.pending_sequences > 0
+        if skipped is not None:
+            matcher.expire(skipped)
+        return alerts
+
+    def _close_windows_after(self, event: Event) -> List[Alert]:
+        """Close the windows due at the watermark ``event`` leaves behind."""
         try:
-            watermark = self._current_watermark(last_event)
+            watermark = self._current_watermark(event)
             if self._close_timer is None:
                 return self._close_windows(watermark)
             started = perf_counter()
@@ -233,7 +263,7 @@ class QueryEngine:
             if self._error_reporter is None:
                 raise
             self._error_reporter.report(self.name, error,
-                                        timestamp=last_event.timestamp)
+                                        timestamp=event.timestamp)
             return []
 
     def process_matches(self, event: Event,

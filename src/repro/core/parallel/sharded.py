@@ -276,7 +276,6 @@ def _alert_sort_key(alert: Alert) -> Tuple:
 def _build_scheduler(queries: Sequence[Tuple[str, Union[str, ast.Query]]],
                      enable_sharing: bool,
                      track_agent_load: bool = False,
-                     columnar: bool = True,
                      quarantine_errors: Optional[int] = None,
                      metrics: bool = True,
                      shard_id: int = 0) -> ConcurrentQueryScheduler:
@@ -286,7 +285,6 @@ def _build_scheduler(queries: Sequence[Tuple[str, Union[str, ast.Query]]],
     # (watermark lag); everything else merges across lanes by name.
     scheduler = ConcurrentQueryScheduler(enable_sharing=enable_sharing,
                                          track_agent_load=track_agent_load,
-                                         columnar=columnar,
                                          quarantine_errors=quarantine_errors,
                                          metrics=MetricRegistry(
                                              enabled=metrics),
@@ -359,12 +357,11 @@ class SerialShard:
 
     def __init__(self, queries, enable_sharing: bool,
                  track_agent_load: bool = False, index: int = 0,
-                 restore=None, columnar: bool = True,
-                 quarantine_errors: Optional[int] = None,
+                 restore=None, quarantine_errors: Optional[int] = None,
                  fault_plan=None, metrics: bool = True):
         self.index = index
         self._scheduler = _build_scheduler(queries, enable_sharing,
-                                           track_agent_load, columnar,
+                                           track_agent_load,
                                            quarantine_errors,
                                            metrics=metrics, shard_id=index)
         self._alerts: List[Alert] = []
@@ -426,12 +423,11 @@ class ThreadShard:
 
     def __init__(self, queries, enable_sharing: bool,
                  track_agent_load: bool = False, index: int = 0,
-                 restore=None, columnar: bool = True,
-                 quarantine_errors: Optional[int] = None,
+                 restore=None, quarantine_errors: Optional[int] = None,
                  fault_plan=None, metrics: bool = True):
         self.index = index
         self._scheduler = _build_scheduler(queries, enable_sharing,
-                                           track_agent_load, columnar,
+                                           track_agent_load,
                                            quarantine_errors,
                                            metrics=metrics, shard_id=index)
         self._alerts: List[Alert] = []
@@ -576,8 +572,7 @@ def _process_shard_main(index: int,
                         track_agent_load: bool,
                         in_queue: "multiprocessing.Queue",
                         out_queue: "multiprocessing.Queue",
-                        restore=None, columnar: bool = True,
-                        generation: int = 0,
+                        restore=None, generation: int = 0,
                         quarantine_errors: Optional[int] = None,
                         fault_plan=None, metrics: bool = True) -> None:
     """Worker entry point: compile the queries, drain batches, report back.
@@ -593,8 +588,7 @@ def _process_shard_main(index: int,
     """
     try:
         scheduler = _build_scheduler(queries, enable_sharing,
-                                     track_agent_load, columnar,
-                                     quarantine_errors,
+                                     track_agent_load, quarantine_errors,
                                      metrics=metrics, shard_id=index)
         alerts: List[Alert] = []
         if restore is not None:
@@ -624,7 +618,7 @@ class ProcessShard:
 
     def __init__(self, index: int, queries, enable_sharing: bool,
                  context, out_queue, track_agent_load: bool = False,
-                 restore=None, columnar: bool = True, generation: int = 0,
+                 restore=None, generation: int = 0,
                  quarantine_errors: Optional[int] = None, fault_plan=None,
                  metrics: bool = True):
         self.index = index
@@ -634,7 +628,7 @@ class ProcessShard:
         self._process = context.Process(
             target=_process_shard_main,
             args=(index, list(queries), enable_sharing, track_agent_load,
-                  self._in_queue, out_queue, restore, columnar, generation,
+                  self._in_queue, out_queue, restore, generation,
                   quarantine_errors, fault_plan, metrics),
             daemon=True,
             name=f"saql-shard-{index}")
@@ -1879,7 +1873,6 @@ class ShardedScheduler:
                  rebalance_ratio: float = DEFAULT_REBALANCE_RATIO,
                  checkpoint_store=None,
                  checkpoint_interval: Optional[int] = None,
-                 columnar: bool = True,
                  supervision: Union[bool, SupervisionPolicy, None] = None,
                  quarantine_errors: Optional[int] = None,
                  fault_plan=None, metrics: bool = True):
@@ -1905,7 +1898,6 @@ class ShardedScheduler:
         self.backend = backend
         self._sink = sink
         self._enable_sharing = enable_sharing
-        self._columnar = columnar
         self._batch_size = batch_size
         # Mid-stream work stealing: None disables it; otherwise the number
         # of routed events between load-report epochs.  The balancer is
@@ -2421,7 +2413,7 @@ class ShardedScheduler:
         def build_spare(position: int) -> ConcurrentQueryScheduler:
             return _build_scheduler(
                 self._queries_for_shard(position), self._enable_sharing,
-                track_load, self._columnar, self._quarantine_errors,
+                track_load, self._quarantine_errors,
                 metrics=self._metrics_enabled, shard_id=position)
 
         return _ShardSupervisor(
@@ -2437,7 +2429,6 @@ class ShardedScheduler:
         # shard position so it never collides with a sharded lane's.
         return _build_scheduler(self._single_lane_queries,
                                 self._enable_sharing,
-                                columnar=self._columnar,
                                 quarantine_errors=self._quarantine_errors,
                                 metrics=self._metrics_enabled,
                                 shard_id=self.shards)
@@ -2502,7 +2493,6 @@ class ShardedScheduler:
                                 track_load, position,
                                 restore=(restored["shards"][position]
                                          if restored is not None else None),
-                                columnar=self._columnar,
                                 quarantine_errors=self._quarantine_errors,
                                 fault_plan=self._fault_plan,
                                 metrics=self._metrics_enabled)
@@ -2525,7 +2515,6 @@ class ShardedScheduler:
             rearm = plan if getattr(plan, "rearm_on_restart", False) else None
             return shard_cls(per_shard[position], self._enable_sharing,
                              track_load, position, restore=restore,
-                             columnar=self._columnar,
                              quarantine_errors=self._quarantine_errors,
                              fault_plan=rearm,
                              metrics=self._metrics_enabled)
@@ -2689,7 +2678,6 @@ class ShardedScheduler:
                                 track_agent_load=eligibility is not None,
                                 restore=(restored["shards"][position]
                                          if restored is not None else None),
-                                columnar=self._columnar,
                                 quarantine_errors=self._quarantine_errors,
                                 fault_plan=self._fault_plan,
                                 metrics=self._metrics_enabled)
@@ -2716,8 +2704,7 @@ class ShardedScheduler:
             return ProcessShard(position, per_shard[position],
                                 self._enable_sharing, context, out_queue,
                                 track_agent_load=eligibility is not None,
-                                restore=restore, columnar=self._columnar,
-                                generation=generation,
+                                restore=restore, generation=generation,
                                 quarantine_errors=self._quarantine_errors,
                                 fault_plan=rearm,
                                 metrics=self._metrics_enabled)

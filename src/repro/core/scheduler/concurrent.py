@@ -47,11 +47,14 @@ from repro.obs import MetricRegistry, StageTimers
 #: group's queries declare no window.
 DEFAULT_BUFFER_SECONDS = 600.0
 
-#: Default smallest batch the columnar path will pivot into a
-#: :class:`~repro.core.compile.columnar.ColumnBlock`.  Below this, block
-#: construction and bitmap bookkeeping cost more than the per-event
-#: closures they replace (the batch_size=1 degenerate case would pay a
-#: block build per event), so tiny batches fall back to the closure path.
+#: Smallest batch the scheduler pivots into a
+#: :class:`~repro.core.compile.columnar.ColumnBlock`; smaller batches run
+#: the compiled closures.  Measured with perfbench's 56-query set on its
+#: 16-host enterprise stream (2-core machine, events/s, columnar vs
+#: closure): 6.2k vs 15.1k at batch 1, 21.3k vs 34.4k at 16, 44.8k vs
+#: 49.4k at 64, ~89k vs ~62k at 512.  The crossover therefore lies
+#: between 64 and 512 events on that workload, above this threshold;
+#: moving the threshold is a separate, measured change.
 DEFAULT_COLUMNAR_MIN_BATCH = 16
 
 #: Per-group batch times at or above this (seconds) enter the ring-buffered
@@ -100,10 +103,10 @@ class SchedulerStats:
     #: ``peak_buffered_matches`` figures (see
     #: :attr:`peak_buffered_events_bound` for the bound-vs-sampled split).
     peak_buffered_matches_bound: int = 0
-    #: Distinct predicates in the shared predicate index (columnar mode):
-    #: structurally-equal predicates across all registered queries
-    #: canonicalize to one entry each.  0 until the columnar plans build
-    #: (first columnar batch) and under ``columnar=False``.
+    #: Distinct predicates in the shared predicate index: structurally
+    #: equal predicates across all registered queries canonicalize to one
+    #: entry each.  0 until the columnar plans build (first batch of at
+    #: least DEFAULT_COLUMNAR_MIN_BATCH events).
     distinct_predicates: int = 0
     #: Column cells actually evaluated by the shared predicate kernels.
     predicate_evaluations: int = 0
@@ -175,8 +178,8 @@ class QueryGroup:
     """One compatibility group: a master query plus its dependent queries.
 
     Pattern signatures and per-pattern operation sets are computed once, at
-    registration time; the per-event path only walks pre-built dispatch
-    plans (the seed recomputed :func:`pattern_signature` for every pattern
+    registration time; the dispatch loops only walk pre-built plans (the
+    seed recomputed :func:`pattern_signature` for every pattern
     of every query on every event).
     """
 
@@ -186,7 +189,7 @@ class QueryGroup:
         self.master = master
         self.dependents: List[QueryEngine] = []
         # Per-pattern plan entries: (pattern, signature, operation set,
-        # compiled pattern or None).  The compiled reference avoids
+        # compiled pattern).  The compiled reference avoids
         # re-hashing the AST declaration per event in the dispatch loop.
         self._master_plan: Tuple[Tuple[ast.EventPatternDeclaration, Tuple,
                                        frozenset, Any], ...] = tuple(
@@ -252,312 +255,45 @@ class QueryGroup:
         self.operations = frozenset(operations)
 
     # -- execution ------------------------------------------------------------
+    #
+    # Two batch shapes, one contract.  Both methods produce the same
+    # alerts, per-engine alert order, retention and logical
+    # ``pattern_evaluations``/``_saved`` accounting for the same events;
+    # the scheduler picks one by batch length (DEFAULT_COLUMNAR_MIN_BATCH).
+    # Every failure is handed to the quarantine guard, attributed to the
+    # engine that owns the work: without an error budget the guard
+    # re-raises (fail fast), with one it charges the engine and the batch
+    # carries on for every other engine of the group.  A master failure
+    # on a shared pattern signature reroutes the dependents sharing it to
+    # their own compiled pattern for the rest of the batch; that reroute
+    # set is only built once something has failed.
 
-    def process_event(self, event: Event,
-                      stats: SchedulerStats) -> List[Alert]:
-        """Process one stream event through every query of the group."""
-        alerts: List[Alert] = []
+    def process_events(self, events: Sequence[Event], stats: SchedulerStats,
+                       guard: "_QuarantineGuard") -> List[Alert]:
+        """Process a small timestamp-ordered batch (compiled-closure path).
 
-        # The master query has direct access to the data stream: it applies
-        # the group's shared global constraints and matches its patterns.
-        master_matcher = self.master.matcher.pattern_matcher
-        if not master_matcher.passes_global_constraints(event):
-            return alerts
-
-        stats.buffered_events += self._retain(event)
-
-        operation = event.operation.value
-        master_matches = []
-        matched_by_signature: Dict[Tuple, PatternMatch] = {}
-        for pattern, signature, pattern_operations, compiled in self._master_plan:
-            if operation not in pattern_operations:
-                continue
-            stats.pattern_evaluations += 1
-            if compiled is not None:
-                match = compiled.match_accepted_operation(event)
-            else:
-                match = master_matcher.match_pattern(event, pattern)
-            if match is not None:
-                master_matches.append(match)
-                matched_by_signature[signature] = match
-        alerts.extend(self.master.process_matches(event, master_matches))
-
-        # Dependent queries reuse the master's intermediate results for every
-        # pattern they share with it and only evaluate their own remainder.
-        for engine, plan in zip(self.dependents, self._dependent_plans):
-            dependent_matches: List[PatternMatch] = []
-            for pattern, shared, pattern_operations, compiled in plan:
-                if operation not in pattern_operations:
-                    continue
-                if shared is not None:
-                    stats.pattern_evaluations_saved += 1
-                    match = matched_by_signature.get(shared)
-                    if match is not None:
-                        dependent_matches.append(_rebind(match, pattern))
-                    continue
-                stats.pattern_evaluations += 1
-                if compiled is not None:
-                    match = compiled.match_accepted_operation(event)
-                else:
-                    match = engine.matcher.pattern_matcher.match_pattern(
-                        event, pattern)
-                if match is not None:
-                    dependent_matches.append(match)
-            alerts.extend(engine.process_matches(event, dependent_matches))
-        return alerts
-
-    def advance_watermark(self, event: Event,
-                          stats: SchedulerStats) -> List[Alert]:
-        """Offer an event the group's patterns cannot match.
-
-        The operation-indexed scheduler routes such events here instead of
-        :meth:`process_event`: no pattern is evaluated, but the group still
-        applies its global constraints, retains the event in the shared
-        buffer and advances every engine's watermark (with an empty match
-        list), so windows that are already past in event time close — and
-        alert — with the same latency as under unindexed dispatch.
+        Constraints, retention and pattern matching run per event through
+        the compiled closures; each engine is then invoked once per batch
+        through
+        :meth:`~repro.core.engine.query_engine.QueryEngine.process_match_batch`.
         """
-        if not self.retain_only(event, stats):
-            return []
-        return self.advance_engines(event)
-
-    def retain_only(self, event: Event, stats: SchedulerStats) -> bool:
-        """Apply global constraints and buffer the event; no watermarks.
-
-        Returns True when the event passed the group's constraints (and was
-        therefore retained).  The batch ingestion path uses this to keep the
-        shared-buffer accounting exact per event while deferring the
-        per-engine watermark advance to the batch tail.
-        """
-        master_matcher = self.master.matcher.pattern_matcher
-        if not master_matcher.passes_global_constraints(event):
-            return False
-        stats.buffered_events += self._retain(event)
-        return True
-
-    def advance_engines(self, event: Event) -> List[Alert]:
-        """Advance every engine's watermark with an empty match list."""
-        alerts: List[Alert] = []
-        alerts.extend(self.master.process_matches(event, ()))
-        for engine in self.dependents:
-            alerts.extend(engine.process_matches(event, ()))
-        return alerts
-
-    def process_events(self, events: Sequence[Event],
-                       stats: SchedulerStats) -> List[Alert]:
-        """Process a timestamp-ordered batch of events through the group.
-
-        The batch path restructures :meth:`process_event`'s work to
-        amortize dispatch overhead: constraints, retention and the master's
-        pattern matching still run per event (that is genuine per-event
-        work), but each engine is then invoked once per batch through
-        :meth:`~repro.core.engine.query_engine.QueryEngine.process_match_batch`
-        instead of once per event, collapsing the per-event engine call
-        chain.  Alert contents, per-engine alert order and the pattern
-        evaluation accounting are identical to per-event dispatch.
-        """
-        master_matcher = self.master.matcher.pattern_matcher
-        passes = master_matcher.passes_global_constraints
+        master = self.master
+        passes = master.matcher.pattern_matcher.passes_global_constraints
         operations = self.operations
         # Per accepted event: (event, master matches, matches by signature).
         # The signature dict is None when the event's operation is accepted
         # by no pattern of the group — dependents then skip their plan scan
-        # entirely, mirroring the per-event watermark-advance path.
+        # and the engines only advance their watermarks.
         accepted: List[Tuple[Event, List[PatternMatch],
                              Optional[Dict[Tuple, PatternMatch]]]] = []
-        evaluations = 0
-        for event in events:
-            if not passes(event):
-                continue
-            stats.buffered_events += self._retain(event)
-            operation = event.operation.value
-            if operation not in operations:
-                accepted.append((event, [], None))
-                continue
-            master_matches: List[PatternMatch] = []
-            matched_by_signature: Dict[Tuple, PatternMatch] = {}
-            for pattern, signature, pattern_operations, compiled in (
-                    self._master_plan):
-                if operation not in pattern_operations:
-                    continue
-                evaluations += 1
-                if compiled is not None:
-                    match = compiled.match_accepted_operation(event)
-                else:
-                    match = master_matcher.match_pattern(event, pattern)
-                if match is not None:
-                    master_matches.append(match)
-                    matched_by_signature[signature] = match
-            accepted.append((event, master_matches, matched_by_signature))
-        stats.pattern_evaluations += evaluations
-        if not accepted:
-            return []
-
-        alerts = self.master.process_match_batch(
-            [(event, matches) for event, matches, _ in accepted])
-        for engine, plan in zip(self.dependents, self._dependent_plans):
-            engine_matcher = engine.matcher.pattern_matcher
-            pairs: List[Tuple[Event, List[PatternMatch]]] = []
-            saved = 0
-            evaluations = 0
-            for event, _, matched_by_signature in accepted:
-                dependent_matches: List[PatternMatch] = []
-                if matched_by_signature is not None:
-                    operation = event.operation.value
-                    for pattern, shared, pattern_operations, compiled in plan:
-                        if operation not in pattern_operations:
-                            continue
-                        if shared is not None:
-                            saved += 1
-                            match = matched_by_signature.get(shared)
-                            if match is not None:
-                                dependent_matches.append(
-                                    _rebind(match, pattern))
-                            continue
-                        evaluations += 1
-                        if compiled is not None:
-                            match = compiled.match_accepted_operation(event)
-                        else:
-                            match = engine_matcher.match_pattern(event,
-                                                                 pattern)
-                        if match is not None:
-                            dependent_matches.append(match)
-                pairs.append((event, dependent_matches))
-            stats.pattern_evaluations_saved += saved
-            stats.pattern_evaluations += evaluations
-            alerts.extend(engine.process_match_batch(pairs))
-        return alerts
-
-    def process_events_columnar(self, block: ColumnBlock,
-                                context: BatchPredicateContext,
-                                stats: SchedulerStats) -> List[Alert]:
-        """Process one column block through the group (columnar fast path).
-
-        Behaviourally identical to :meth:`process_events` over
-        ``block.events`` — same alerts, same per-engine alert order, same
-        retention and same ``pattern_evaluations``/``_saved`` accounting
-        (the counters keep their *logical* per-pattern meaning so the two
-        modes stay comparable; the physical work is tracked by the
-        ``predicate_*`` counters) — but predicates are evaluated through
-        the batch context's shared selection vectors: each distinct
-        predicate once per batch, across every query of every group.
-        """
-        plan = self.columnar_plan
-        events = block.events
-        global_bitmap = context.global_filter(plan)
-        operations = self.operations
-        # Accepted events (passing globals) in batch order, mirroring the
-        # closure path's skeleton: rows whose operation no pattern of the
-        # group accepts carry None instead of a signature dict, so
-        # dependents skip them (the watermark-advance shape).
-        accepted: List[Tuple[Event, List[PatternMatch],
-                             Optional[Dict[Tuple, PatternMatch]]]] = []
-        entry_for_row: List[Optional[int]] = [None] * block.size
-        retained = 0
-        operation_values = block.operation_values
-        for row in context.selected_rows(plan, global_bitmap):
-            event = events[row]
-            retained += self._retain(event)
-            if operation_values[row] in operations:
-                entry_for_row[row] = len(accepted)
-                accepted.append((event, [], {}))
-            else:
-                accepted.append((event, [], None))
-        stats.buffered_events += retained
-        if not accepted:
-            return []
-
-        evaluations = 0
-        for pattern_plan in plan.master:
-            evaluations += len(context.candidate_rows(
-                pattern_plan.operations, plan, global_bitmap))
-            alias = pattern_plan.alias
-            subject_var = pattern_plan.subject_var
-            object_var = pattern_plan.object_var
-            signature = pattern_plan.signature
-            for row in context.pattern_rows(pattern_plan, plan,
-                                            global_bitmap):
-                event = events[row]
-                match = PatternMatch(
-                    alias=alias, event=event,
-                    bindings={subject_var: event.subject,
-                              object_var: event.obj})
-                entry = accepted[entry_for_row[row]]
-                entry[1].append(match)
-                entry[2][signature] = match
-        stats.pattern_evaluations += evaluations
-
-        alerts = self.master.process_match_batch(
-            [(event, matches) for event, matches, _ in accepted])
-        for engine, dependent_plan in zip(self.dependents, plan.dependents):
-            pairs: List[Tuple[Event, List[PatternMatch]]] = [
-                (event, []) for event, _, _ in accepted]
-            saved = 0
-            evaluations = 0
-            for pattern_plan in dependent_plan:
-                candidates = context.candidate_rows(
-                    pattern_plan.operations, plan, global_bitmap)
-                if pattern_plan.shared is not None:
-                    saved += len(candidates)
-                    shared = pattern_plan.shared
-                    pattern = pattern_plan.pattern
-                    for row in candidates:
-                        position = entry_for_row[row]
-                        match = accepted[position][2].get(shared)
-                        if match is not None:
-                            pairs[position][1].append(
-                                _rebind(match, pattern))
-                    continue
-                evaluations += len(candidates)
-                alias = pattern_plan.alias
-                subject_var = pattern_plan.subject_var
-                object_var = pattern_plan.object_var
-                for row in context.pattern_rows(pattern_plan, plan,
-                                                global_bitmap):
-                    event = events[row]
-                    pairs[entry_for_row[row]][1].append(PatternMatch(
-                        alias=alias, event=event,
-                        bindings={subject_var: event.subject,
-                                  object_var: event.obj}))
-            stats.pattern_evaluations_saved += saved
-            stats.pattern_evaluations += evaluations
-            alerts.extend(engine.process_match_batch(pairs))
-        return alerts
-
-    # -- execution under quarantine (fault isolation) -------------------------
-
-    def process_events_guarded(self, events: Sequence[Event],
-                               stats: SchedulerStats,
-                               guard: "_QuarantineGuard") -> List[Alert]:
-        """:meth:`process_events` with the quarantine circuit-breaker armed.
-
-        A separate method so the fault-free dispatch loops stay free of
-        try/except bookkeeping.  Failures are attributed per engine: a
-        master whose compiled pattern (or global-constraint closure)
-        raises loses that evaluation — dependents sharing the failed
-        signature fall back to their own compiled pattern — and an
-        engine whose batch processing raises loses only its own alerts
-        for the batch; every other engine of the group is unaffected.
-        """
-        master = self.master
-        master_matcher = master.matcher.pattern_matcher
-        passes = master_matcher.passes_global_constraints
-        operations = self.operations
-        accepted: List[Tuple[Event, List[PatternMatch],
-                             Optional[Dict[Tuple, PatternMatch]]]] = []
-        # Master signatures whose evaluation raised at least once this
-        # batch: dependents stop reusing them and evaluate their own
-        # pattern instead (equivalent result when the master *did*
-        # match; the only way to any result when it raised).
-        failed_signatures: Set[Tuple] = set()
+        failed: Optional[Set[Tuple]] = None
         evaluations = 0
         for event in events:
             try:
-                ok = passes(event)
+                if not passes(event):
+                    continue
             except Exception as error:
                 guard.record(master, error, event.timestamp)
-                continue
-            if not ok:
                 continue
             stats.buffered_events += self._retain(event)
             operation = event.operation.value
@@ -566,19 +302,16 @@ class QueryGroup:
                 continue
             master_matches: List[PatternMatch] = []
             matched_by_signature: Dict[Tuple, PatternMatch] = {}
-            for pattern, signature, pattern_operations, compiled in (
+            for _, signature, pattern_operations, compiled in (
                     self._master_plan):
                 if operation not in pattern_operations:
                     continue
                 evaluations += 1
                 try:
-                    if compiled is not None:
-                        match = compiled.match_accepted_operation(event)
-                    else:
-                        match = master_matcher.match_pattern(event, pattern)
+                    match = compiled.match_accepted_operation(event)
                 except Exception as error:
                     guard.record(master, error, event.timestamp)
-                    failed_signatures.add(signature)
+                    failed = (failed or set()) | {signature}
                     continue
                 if match is not None:
                     master_matches.append(match)
@@ -588,14 +321,11 @@ class QueryGroup:
         if not accepted:
             return []
 
-        try:
-            alerts = master.process_match_batch(
-                [(event, matches) for event, matches, _ in accepted])
-        except Exception as error:
-            guard.record(master, error, accepted[-1][0].timestamp)
-            alerts = []
+        tail_timestamp = accepted[-1][0].timestamp
+        alerts = _process_match_batch(
+            master, [(event, matches) for event, matches, _ in accepted],
+            guard, tail_timestamp)
         for engine, plan in zip(self.dependents, self._dependent_plans):
-            engine_matcher = engine.matcher.pattern_matcher
             pairs: List[Tuple[Event, List[PatternMatch]]] = []
             saved = 0
             evaluations = 0
@@ -606,8 +336,8 @@ class QueryGroup:
                     for pattern, shared, pattern_operations, compiled in plan:
                         if operation not in pattern_operations:
                             continue
-                        if (shared is not None
-                                and shared not in failed_signatures):
+                        if shared is not None and (
+                                failed is None or shared not in failed):
                             saved += 1
                             match = matched_by_signature.get(shared)
                             if match is not None:
@@ -616,12 +346,7 @@ class QueryGroup:
                             continue
                         evaluations += 1
                         try:
-                            if compiled is not None:
-                                match = compiled.match_accepted_operation(
-                                    event)
-                            else:
-                                match = engine_matcher.match_pattern(
-                                    event, pattern)
+                            match = compiled.match_accepted_operation(event)
                         except Exception as error:
                             guard.record(engine, error, event.timestamp)
                             continue
@@ -630,35 +355,36 @@ class QueryGroup:
                 pairs.append((event, dependent_matches))
             stats.pattern_evaluations_saved += saved
             stats.pattern_evaluations += evaluations
-            try:
-                alerts.extend(engine.process_match_batch(pairs))
-            except Exception as error:
-                guard.record(engine, error, pairs[-1][0].timestamp)
+            alerts.extend(_process_match_batch(engine, pairs, guard,
+                                               tail_timestamp))
         return alerts
 
-    def process_events_columnar_guarded(
-            self, block: ColumnBlock, context: BatchPredicateContext,
-            stats: SchedulerStats,
-            guard: "_QuarantineGuard") -> List[Alert]:
-        """:meth:`process_events_columnar` with the circuit-breaker armed.
+    def process_events_columnar(self, block: ColumnBlock,
+                                context: BatchPredicateContext,
+                                stats: SchedulerStats,
+                                guard: "_QuarantineGuard") -> List[Alert]:
+        """Process one column block through the group (columnar path).
 
-        The group's shared columnar work (the global filter) is
-        attributed to the master — when it raises, the whole group skips
-        the batch (there is no per-engine way to filter without it) and
-        the master's budget absorbs the failure.  Per-pattern and
-        per-engine work is attributed to the owning engine, with
-        dependents falling back to their own compiled pattern when the
-        master's side of a shared signature fails.
+        Predicates are evaluated through the batch context's shared
+        selection vectors: each distinct predicate once per batch, across
+        every query of every group.  The logical ``pattern_evaluations``
+        counters keep their per-pattern meaning; the physical work is
+        tracked by the ``predicate_*`` counters.  The group's global
+        filter is shared work attributed to the master: when it raises,
+        the whole group skips the batch.
         """
         plan = self.columnar_plan
         events = block.events
-        tail_timestamp = events[-1].timestamp if events else None
+        master = self.master
+        tail_timestamp = events[-1].timestamp
         try:
             global_bitmap = context.global_filter(plan)
         except Exception as error:
-            guard.record(self.master, error, tail_timestamp)
+            guard.record(master, error, tail_timestamp)
             return []
         operations = self.operations
+        # Same skeleton as the closure path, plus the row -> accepted
+        # position map the shared selection vectors are read through.
         accepted: List[Tuple[Event, List[PatternMatch],
                              Optional[Dict[Tuple, PatternMatch]]]] = []
         entry_for_row: List[Optional[int]] = [None] * block.size
@@ -676,23 +402,23 @@ class QueryGroup:
         if not accepted:
             return []
 
-        failed_signatures: Set[Tuple] = set()
+        failed: Optional[Set[Tuple]] = None
         evaluations = 0
         for pattern_plan in plan.master:
+            signature = pattern_plan.signature
             try:
                 candidates = context.candidate_rows(
                     pattern_plan.operations, plan, global_bitmap)
-                rows = list(context.pattern_rows(pattern_plan, plan,
-                                                 global_bitmap))
+                rows = context.pattern_rows(pattern_plan, plan,
+                                            global_bitmap)
             except Exception as error:
-                guard.record(self.master, error, tail_timestamp)
-                failed_signatures.add(pattern_plan.signature)
+                guard.record(master, error, tail_timestamp)
+                failed = (failed or set()) | {signature}
                 continue
             evaluations += len(candidates)
             alias = pattern_plan.alias
             subject_var = pattern_plan.subject_var
             object_var = pattern_plan.object_var
-            signature = pattern_plan.signature
             for row in rows:
                 event = events[row]
                 match = PatternMatch(
@@ -704,32 +430,38 @@ class QueryGroup:
                 entry[2][signature] = match
         stats.pattern_evaluations += evaluations
 
-        try:
-            alerts = self.master.process_match_batch(
-                [(event, matches) for event, matches, _ in accepted])
-        except Exception as error:
-            guard.record(self.master, error, tail_timestamp)
-            alerts = []
-        for engine, dependent_plan, plan_entries in zip(
-                self.dependents, plan.dependents, self._dependent_plans):
-            # The dependent's own compiled patterns, keyed by pattern
-            # identity, for the shared-signature fallback path.
-            compiled_for = {id(entry[0]): entry[3] for entry in plan_entries}
-            engine_matcher = engine.matcher.pattern_matcher
+        alerts = _process_match_batch(
+            master, [(event, matches) for event, matches, _ in accepted],
+            guard, tail_timestamp)
+        for engine, dependent_plan in zip(self.dependents, plan.dependents):
             pairs: List[Tuple[Event, List[PatternMatch]]] = [
                 (event, []) for event, _, _ in accepted]
             saved = 0
             evaluations = 0
             for pattern_plan in dependent_plan:
+                shared = pattern_plan.shared
+                pattern = pattern_plan.pattern
                 try:
                     candidates = context.candidate_rows(
                         pattern_plan.operations, plan, global_bitmap)
+                    if shared is None:
+                        rows = context.pattern_rows(pattern_plan, plan,
+                                                    global_bitmap)
                 except Exception as error:
                     guard.record(engine, error, tail_timestamp)
                     continue
-                shared = pattern_plan.shared
-                pattern = pattern_plan.pattern
-                if shared is not None and shared not in failed_signatures:
+                if shared is None:
+                    evaluations += len(candidates)
+                    alias = pattern_plan.alias
+                    subject_var = pattern_plan.subject_var
+                    object_var = pattern_plan.object_var
+                    for row in rows:
+                        event = events[row]
+                        pairs[entry_for_row[row]][1].append(PatternMatch(
+                            alias=alias, event=event,
+                            bindings={subject_var: event.subject,
+                                      object_var: event.obj}))
+                elif failed is None or shared not in failed:
                     saved += len(candidates)
                     for row in candidates:
                         position = entry_for_row[row]
@@ -737,67 +469,34 @@ class QueryGroup:
                         if match is not None:
                             pairs[position][1].append(
                                 _rebind(match, pattern))
-                    continue
-                if shared is not None:
-                    # Master's side of the shared signature failed: run
-                    # this engine's own compiled pattern over the
-                    # candidate rows instead of reusing nothing.
-                    compiled = compiled_for.get(id(pattern))
+                else:
+                    # The master's side of this signature failed: run the
+                    # dependent's own compiled pattern over the rows.
+                    compiled = _compiled_pattern_for(engine, pattern)
                     evaluations += len(candidates)
                     for row in candidates:
                         event = events[row]
                         try:
-                            if compiled is not None:
-                                match = compiled.match_accepted_operation(
-                                    event)
-                            else:
-                                match = engine_matcher.match_pattern(
-                                    event, pattern)
+                            match = compiled.match_accepted_operation(event)
                         except Exception as error:
                             guard.record(engine, error, event.timestamp)
                             continue
                         if match is not None:
                             pairs[entry_for_row[row]][1].append(match)
-                    continue
-                try:
-                    rows = list(context.pattern_rows(pattern_plan, plan,
-                                                     global_bitmap))
-                except Exception as error:
-                    guard.record(engine, error, tail_timestamp)
-                    continue
-                evaluations += len(candidates)
-                alias = pattern_plan.alias
-                subject_var = pattern_plan.subject_var
-                object_var = pattern_plan.object_var
-                for row in rows:
-                    event = events[row]
-                    pairs[entry_for_row[row]][1].append(PatternMatch(
-                        alias=alias, event=event,
-                        bindings={subject_var: event.subject,
-                                  object_var: event.obj}))
             stats.pattern_evaluations_saved += saved
             stats.pattern_evaluations += evaluations
-            try:
-                alerts.extend(engine.process_match_batch(pairs))
-            except Exception as error:
-                guard.record(engine, error, tail_timestamp)
+            alerts.extend(_process_match_batch(engine, pairs, guard,
+                                               tail_timestamp))
         return alerts
 
-    def finish_guarded(self, guard: "_QuarantineGuard") -> List[Alert]:
-        """:meth:`finish` with per-engine fault isolation."""
+    def finish(self, guard: "_QuarantineGuard") -> List[Alert]:
+        """Flush every engine of the group at end of stream."""
         alerts: List[Alert] = []
         for engine in self.engines:
             try:
                 alerts.extend(engine.finish())
             except Exception as error:
                 guard.record(engine, error, None)
-        return alerts
-
-    def finish(self) -> List[Alert]:
-        """Flush every engine of the group at end of stream."""
-        alerts: List[Alert] = []
-        for engine in self.engines:
-            alerts.extend(engine.finish())
         return alerts
 
     def _retain(self, event: Event) -> int:
@@ -823,15 +522,26 @@ class QueryGroup:
 
 def _compiled_pattern_for(engine: QueryEngine,
                           pattern: ast.EventPatternDeclaration):
-    """Resolve a pattern's compiled form once, at plan-build time.
+    """Resolve a pattern's compiled form (at plan build, and on a reroute).
 
-    Returns None for interpreter-mode engines; the dispatch loop then
-    falls back to the matcher's per-pattern lookup.
+    Scheduler engines are always compiled (``add_query`` builds them that
+    way), so the dispatch loops call the closure without a fallback.
     """
     compiled_set = engine.matcher.pattern_matcher.compiled_patterns
-    if compiled_set is None:
-        return None
+    assert compiled_set is not None, "scheduler engines are compiled"
     return compiled_set.compiled_for(pattern)
+
+
+def _process_match_batch(engine: QueryEngine,
+                         pairs: List[Tuple[Event, List[PatternMatch]]],
+                         guard: "_QuarantineGuard",
+                         timestamp: float) -> List[Alert]:
+    """Run one engine over a batch's matches; failures go to the guard."""
+    try:
+        return engine.process_match_batch(pairs)
+    except Exception as error:
+        guard.record(engine, error, timestamp)
+        return []
 
 
 def _rebind(match: PatternMatch,
@@ -850,18 +560,20 @@ def _rebind(match: PatternMatch,
 class _QuarantineGuard:
     """Error-budget circuit-breaker for query fault isolation.
 
-    Every non-SAQL exception the guarded dispatch paths catch is
-    recorded here as a *fatal* error against the owning engine (SAQL
-    evaluation errors never reach the guard — the engines catch and
-    report those themselves, non-fatally).  Once an engine's fatal count
-    reaches the budget the breaker trips; the scheduler removes the
-    engine from dispatch at the next :meth:`take_tripped` (batch
-    boundary), so one broken query stops burning its group's batches
-    while every other query keeps alerting.  Re-registering the query
-    (``add_query``) re-arms the breaker with a fresh budget.
+    Every non-SAQL exception the dispatch paths catch is recorded here
+    as a *fatal* error against the owning engine (SAQL evaluation errors
+    never reach the guard — the engines catch and report those
+    themselves, non-fatally).  Once an engine's fatal count reaches the
+    budget the breaker trips; the scheduler removes the engine from
+    dispatch at the next :meth:`take_tripped` (batch boundary), so one
+    broken query stops burning its group's batches while every other
+    query keeps alerting.  Re-registering the query (``add_query``)
+    re-arms the breaker with a fresh budget.  Without a budget
+    (``None``) quarantine is off and :meth:`record` re-raises: the first
+    failure aborts the batch.
     """
 
-    def __init__(self, reporter: ErrorReporter, budget: int):
+    def __init__(self, reporter: ErrorReporter, budget: Optional[int]):
         self._reporter = reporter
         self._budget = budget
         self._tripped: Set[str] = set()
@@ -870,6 +582,8 @@ class _QuarantineGuard:
     def record(self, engine: QueryEngine, error: Exception,
                timestamp: Optional[float] = None) -> None:
         """Charge one fatal error against an engine's budget."""
+        if self._budget is None:
+            raise error
         name = engine.name
         self._reporter.report(name, error, timestamp=timestamp, fatal=True)
         if (name not in self._tripped
@@ -887,6 +601,8 @@ class _QuarantineGuard:
         into the same budget, so a persistently failing sink quarantines
         its query exactly like a crashing closure would.
         """
+        if self._budget is None:
+            return
         for engine in engines:
             name = engine.name
             if (name not in self._tripped
@@ -919,8 +635,6 @@ class ConcurrentQueryScheduler:
                  checkpoint_store=None,
                  checkpoint_interval: Optional[int] = None,
                  checkpoint_watermark_interval: Optional[float] = None,
-                 columnar: bool = True,
-                 columnar_min_batch: int = DEFAULT_COLUMNAR_MIN_BATCH,
                  quarantine_errors: Optional[int] = None,
                  metrics: Optional[MetricRegistry] = None,
                  shard_id: int = 0,
@@ -932,14 +646,9 @@ class ConcurrentQueryScheduler:
         self._groups: Dict[Any, QueryGroup] = {}
         self._engines: List[QueryEngine] = []
         # Columnar batch execution: batches of at least
-        # ``columnar_min_batch`` events are pivoted into a ColumnBlock and
-        # filtered through the shared predicate index; smaller batches
-        # (and the per-event path) use the compiled closures, which also
-        # remain the ``columnar=False`` equivalence oracle.
-        if columnar_min_batch < 1:
-            raise ValueError("columnar batch threshold must be at least 1")
-        self._columnar = columnar
-        self._columnar_min_batch = columnar_min_batch
+        # DEFAULT_COLUMNAR_MIN_BATCH events are pivoted into a ColumnBlock
+        # and filtered through the shared predicate index; smaller batches
+        # use the compiled closures.
         self._predicate_index = SharedPredicateIndex()
         # Per-predicate row counters restored from a checkpoint (the live
         # index restarts from zero after a restore; reports add these).
@@ -951,12 +660,6 @@ class ConcurrentQueryScheduler:
         # Monotonic key counter for sharing-disabled groups (never reused,
         # so removal cannot alias a later registration onto a dead key).
         self._isolated_serial = 0
-        # Operation keyword -> (group, can_match) in registration order,
-        # rebuilt lazily after registrations.  can_match decides between
-        # full pattern dispatch and the cheap watermark-advance path.
-        self._op_index: Optional[Dict[str, Tuple[Tuple[QueryGroup, bool],
-                                                 ...]]] = None
-        self._fallback_entries: Tuple[Tuple[QueryGroup, bool], ...] = ()
         self.stats = SchedulerStats()
         # Per-agentid ingest accounting for the work-stealing balancer.
         # Off by default so the per-event hot path pays nothing; the
@@ -995,14 +698,12 @@ class ConcurrentQueryScheduler:
         # Query fault isolation: with a budget configured, non-SAQL
         # exceptions from one query's compiled closures / columnar plan /
         # engine are caught, charged against that query, and the query is
-        # quarantined (removed from dispatch) once the budget is spent —
-        # instead of today's fail-fast abort poisoning every co-grouped
-        # query.  Off by default: the fault-free hot paths are untouched.
+        # quarantined (removed from dispatch) once the budget is spent.
+        # Without one (the default) the guard re-raises: fail fast.
         if quarantine_errors is not None and quarantine_errors < 1:
             raise ValueError("quarantine error budget must be at least 1")
-        self._quarantine: Optional[_QuarantineGuard] = (
-            _QuarantineGuard(self._error_reporter, quarantine_errors)
-            if quarantine_errors is not None else None)
+        self._quarantine = _QuarantineGuard(self._error_reporter,
+                                            quarantine_errors)
         #: Quarantined queries: name -> {"errors", "last_error",
         #: "timestamp"} detail for operators (stats carry the counts).
         self.quarantined: Dict[str, Dict[str, Any]] = {}
@@ -1060,7 +761,7 @@ class ConcurrentQueryScheduler:
 
         # Re-registering a quarantined query re-arms its circuit-breaker
         # with a fresh error budget (and a clean error-rate slate).
-        if self._quarantine is not None and engine.name in self.quarantined:
+        if engine.name in self.quarantined:
             del self.quarantined[engine.name]
             self.stats.quarantined.pop(engine.name, None)
             self._quarantine.rearm(engine.name)
@@ -1084,7 +785,6 @@ class ConcurrentQueryScheduler:
             # Membership changed: the columnar plan (and its predicate
             # subscriptions) must rebuild for the next columnar batch.
             self._invalidate_group_plan(group)
-        self._op_index = None
 
         self.stats.queries = len(self._engines)
         self.stats.groups = len(self._groups)
@@ -1135,7 +835,6 @@ class ConcurrentQueryScheduler:
                 self._groups[group_key] = promoted
         else:
             group.remove_dependent(engine)
-        self._op_index = None
         self.stats.queries = len(self._engines)
         self.stats.groups = len(self._groups)
         self._refresh_match_stats()
@@ -1171,76 +870,20 @@ class ConcurrentQueryScheduler:
 
     # -- execution ----------------------------------------------------------------
 
-    def _rebuild_op_index(self) -> Dict[str, Tuple[Tuple[QueryGroup, bool],
-                                                   ...]]:
-        """Build the operation dispatch table over the registered groups."""
-        groups = list(self._groups.values())
-        operations = set()
-        for group in groups:
-            operations.update(group.operations)
-        index = {
-            operation: tuple((group, operation in group.operations)
-                             for group in groups)
-            for operation in operations
-        }
-        # Operations no pattern accepts only advance watermarks.
-        self._fallback_entries = tuple((group, False) for group in groups)
-        self._op_index = index
-        return index
-
     def process_event(self, event: Event) -> List[Alert]:
-        """Feed one event to every group, dispatching by operation.
-
-        Dispatch is operation-indexed: a group only runs full pattern
-        matching when at least one of its patterns accepts the event's
-        operation; every other group takes the constant-time
-        watermark-advance path, so window-close alerts keep the same
-        latency as under unindexed dispatch.
-        """
-        self.stats.events_ingested += 1
-        if self._track_agent_load:
-            self._agent_loads[event.agentid] += 1
-            if event.timestamp > self._load_watermark:
-                self._load_watermark = event.timestamp
-        alerts: List[Alert] = []
-        if self._quarantine is not None:
-            # Guarded dispatch (no op-index shortcut): the batch path's
-            # guarded variant handles both matching and watermark
-            # advance, and one event is just a batch of one.
-            for group in list(self._groups.values()):
-                alerts.extend(group.process_events_guarded(
-                    [event], self.stats, self._quarantine))
-            self._apply_quarantine()
-        else:
-            index = self._op_index
-            if index is None:
-                index = self._rebuild_op_index()
-            entries = index.get(event.operation.value)
-            if entries is None:
-                entries = self._fallback_entries
-            for group, can_match in entries:
-                if can_match:
-                    alerts.extend(group.process_event(event, self.stats))
-                else:
-                    alerts.extend(group.advance_watermark(event, self.stats))
-        self.stats.peak_buffered_events = max(
-            self.stats.peak_buffered_events, self.stats.buffered_events)
-        self.stats.alerts += len(alerts)
-        if self._checkpoint_store is not None:
-            self._advance_cursor(event)
-            self._maybe_checkpoint()
-        return alerts
+        """Feed one event: a batch of one through :meth:`process_events`."""
+        return self.process_events([event])
 
     def process_events(self, events: Sequence[Event]) -> List[Alert]:
-        """Feed a timestamp-ordered batch of events (batch ingestion path).
+        """Feed a timestamp-ordered batch of events (the ingestion path).
 
-        Semantically equivalent to calling :meth:`process_event` per event:
-        identical alert sets, identical per-engine alert order, identical
-        statistics — except ``peak_buffered_events``, which is sampled at
-        batch boundaries here (versus per event), making it a close lower
-        bound of the per-event figure.  Each group consumes the batch
-        group-major (see :meth:`QueryGroup.process_events`), collapsing the
-        per-event engine call chain into one call per engine per batch.
+        Batches of at least :data:`DEFAULT_COLUMNAR_MIN_BATCH` events are
+        pivoted into one :class:`ColumnBlock` and every distinct predicate
+        is evaluated once for all groups; smaller batches run the compiled
+        closures.  Both shapes give identical alerts, per-engine alert
+        order and statistics.  ``peak_buffered_events`` is sampled at
+        batch boundaries, so it is a close lower bound of the per-event
+        figure.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
@@ -1254,11 +897,12 @@ class ConcurrentQueryScheduler:
             if events[-1].timestamp > self._load_watermark:
                 self._load_watermark = events[-1].timestamp
         alerts: List[Alert] = []
-        if (self._columnar and self._groups
-                and len(events) >= self._columnar_min_batch):
-            # Columnar fast path: pivot the batch once, evaluate each
-            # distinct predicate once, then run the per-match engine path
-            # only for surviving rows.
+        guard = self._quarantine
+        groups = list(self._groups.values())
+        columnar = bool(groups) and len(events) >= DEFAULT_COLUMNAR_MIN_BATCH
+        if columnar:
+            # Pivot the batch once, evaluate each distinct predicate once,
+            # then run the per-match engine path only for surviving rows.
             pivot_started = perf_counter() if metrics_on else 0.0
             block = ColumnBlock(events)
             stats.column_blocks_built += 1
@@ -1270,64 +914,34 @@ class ConcurrentQueryScheduler:
             # build with evaluation would freeze an atom's operation set at
             # whatever the first subscriber declared.
             self._ensure_columnar_plans()
-            if metrics_on:
-                # Pivot covers block + context construction and any lazy
-                # plan (re)builds; steady state is block construction.
-                dispatch_started = perf_counter()
-                self._stage_timers.observe("columnar_pivot",
-                                           dispatch_started - pivot_started)
-            guard = self._quarantine
-            if guard is not None:
-                for group in list(self._groups.values()):
-                    group_started = perf_counter() if metrics_on else 0.0
-                    alerts.extend(group.process_events_columnar_guarded(
-                        block, context, stats, guard))
-                    if metrics_on:
-                        self._observe_group(
-                            group, perf_counter() - group_started,
-                            len(events))
+        dispatch_started = perf_counter() if metrics_on else 0.0
+        if columnar and metrics_on:
+            # Pivot covers block + context construction and any lazy plan
+            # (re)builds; steady state is block construction.
+            self._stage_timers.observe("columnar_pivot",
+                                       dispatch_started - pivot_started)
+        for group in groups:
+            group_started = perf_counter() if metrics_on else 0.0
+            if columnar:
+                alerts.extend(group.process_events_columnar(
+                    block, context, stats, guard))
             else:
-                for group in self._groups.values():
-                    group_started = perf_counter() if metrics_on else 0.0
-                    alerts.extend(group.process_events_columnar(
-                        block, context, stats))
-                    if metrics_on:
-                        self._observe_group(
-                            group, perf_counter() - group_started,
-                            len(events))
+                alerts.extend(group.process_events(events, stats, guard))
+            if metrics_on:
+                self._observe_group(group, perf_counter() - group_started,
+                                    len(events))
+        if columnar:
             stats.predicate_evaluations += context.rows_evaluated
             stats.predicate_evaluations_saved += context.rows_saved
             self._predicate_stats_dirty = True
             if metrics_on:
                 # predicate_eval and window_close are nested inside the
-                # pattern_match dispatch span (see docs/observability.md).
+                # pattern_match dispatch span (see OBSERVABILITY.md).
                 self._stage_timers.observe("predicate_eval",
                                            context.eval_seconds)
-                self._stage_timers.observe(
-                    "pattern_match", perf_counter() - dispatch_started)
-        else:
-            dispatch_started = perf_counter() if metrics_on else 0.0
-            guard = self._quarantine
-            if guard is not None:
-                for group in list(self._groups.values()):
-                    group_started = perf_counter() if metrics_on else 0.0
-                    alerts.extend(group.process_events_guarded(
-                        events, stats, guard))
-                    if metrics_on:
-                        self._observe_group(
-                            group, perf_counter() - group_started,
-                            len(events))
-            else:
-                for group in self._groups.values():
-                    group_started = perf_counter() if metrics_on else 0.0
-                    alerts.extend(group.process_events(events, stats))
-                    if metrics_on:
-                        self._observe_group(
-                            group, perf_counter() - group_started,
-                            len(events))
-            if metrics_on:
-                self._stage_timers.observe(
-                    "pattern_match", perf_counter() - dispatch_started)
+        if metrics_on:
+            self._stage_timers.observe("pattern_match",
+                                       perf_counter() - dispatch_started)
         self._apply_quarantine()
         if stats.buffered_events > stats.peak_buffered_events:
             stats.peak_buffered_events = stats.buffered_events
@@ -1428,7 +1042,7 @@ class ConcurrentQueryScheduler:
             peak += engine.state_peak_buffered_matches
         self.stats.buffered_matches = buffered
         self.stats.peak_buffered_matches = peak
-        if self._columnar and self._predicate_stats_dirty:
+        if self._predicate_stats_dirty:
             self._refresh_predicate_stats()
 
     def _refresh_predicate_stats(self) -> None:
@@ -1463,14 +1077,11 @@ class ConcurrentQueryScheduler:
                 self._predicate_stats_dirty = True
 
     def distinct_predicate_count(self) -> int:
-        """Distinct predicates across all registered queries (columnar).
+        """Distinct predicates across all registered queries.
 
         Forces the lazy columnar plans to build, so the figure is
         available before the first batch (benchmarks report it per arm).
-        Returns 0 under ``columnar=False``.
         """
-        if not self._columnar:
-            return 0
         self._ensure_columnar_plans()
         return self._predicate_index.distinct_count
 
@@ -1500,12 +1111,8 @@ class ConcurrentQueryScheduler:
     def finish(self) -> List[Alert]:
         """Flush every group at end of stream."""
         alerts: List[Alert] = []
-        guard = self._quarantine
         for group in list(self._groups.values()):
-            if guard is not None:
-                alerts.extend(group.finish_guarded(guard))
-            else:
-                alerts.extend(group.finish())
+            alerts.extend(group.finish(self._quarantine))
         self._apply_quarantine()
         self.stats.alerts += len(alerts)
         self._refresh_match_stats()
@@ -1526,8 +1133,6 @@ class ConcurrentQueryScheduler:
         recorded in :attr:`quarantined` and ``stats.quarantined``.
         """
         guard = self._quarantine
-        if guard is None:
-            return
         guard.sweep(self._engines)
         for engine in guard.take_tripped():
             try:
@@ -1796,9 +1401,8 @@ class ConcurrentQueryScheduler:
                 batch_size: Optional[int] = None) -> List[Alert]:
         """Run all registered queries over a finite stream.
 
-        With ``batch_size`` the stream is consumed through the batch
-        ingestion path (:meth:`process_events`), which amortizes dispatch
-        overhead; without it every event is dispatched individually.
+        With ``batch_size`` the stream is consumed in batches of that
+        size; without it every event is its own batch.
         """
         alerts: List[Alert] = []
         if batch_size is not None:

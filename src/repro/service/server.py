@@ -83,8 +83,6 @@ class ServiceConfig:
     batch_size: int = 256
     #: Seconds the pump waits for the first event of a batch.
     max_batch_delay: float = 0.05
-    #: Columnar batch execution (PR 6) on the service scheduler.
-    columnar: bool = True
     #: Per-query fatal-error budget before quarantine (None = fail fast).
     quarantine_errors: Optional[int] = 3
     #: Events between checkpoints (with a state directory).
@@ -183,7 +181,6 @@ class SAQLService:
             checkpoint_store=self._store,
             checkpoint_interval=(self.config.checkpoint_interval
                                  if self._store is not None else None),
-            columnar=self.config.columnar,
             quarantine_errors=self.config.quarantine_errors,
             metrics=self.metrics)
         #: Guards every scheduler access (the pump holds it per batch, so

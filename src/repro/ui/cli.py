@@ -150,12 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "all state every time, 'diff' writes "
                                 "deltas against a periodic full base so "
                                 "checkpoint bytes track state churn")
-    serve_cmd.add_argument("--checkpoint-rebase", type=int, default=8,
-                           metavar="N",
+    serve_cmd.add_argument("--checkpoint-rebase", type=_at_least(1),
+                           default=8, metavar="N",
                            help="deltas between full-base rebases (with "
                                 "--checkpoint-mode diff)")
-    serve_cmd.add_argument("--quarantine-errors", type=int, default=3,
-                           metavar="N",
+    serve_cmd.add_argument("--quarantine-errors", type=_at_least(0),
+                           default=3, metavar="N",
                            help="per-query fatal-error budget before "
                                 "quarantine (0 disables quarantine: the "
                                 "first query error fails the service)")
@@ -182,6 +182,21 @@ def build_parser() -> argparse.ArgumentParser:
                                 "open windows before stopping (default "
                                 "keeps them checkpointed for --resume)")
     return parser
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _add_execution_options(command: argparse.ArgumentParser) -> None:
@@ -224,8 +239,8 @@ def _add_execution_options(command: argparse.ArgumentParser) -> None:
                               "state every time, 'diff' writes deltas "
                               "against a periodic full base so checkpoint "
                               "bytes track state churn")
-    command.add_argument("--checkpoint-rebase", type=int, default=8,
-                         metavar="N",
+    command.add_argument("--checkpoint-rebase", type=_at_least(1),
+                         default=8, metavar="N",
                          help="deltas between full-base rebases (with "
                               "--checkpoint-mode diff)")
     command.add_argument("--segment-bytes", type=int, default=None,
@@ -234,11 +249,6 @@ def _add_execution_options(command: argparse.ArgumentParser) -> None:
                               "tail seals into an indexed segment "
                               "(directory databases / --save-events "
                               "directories; default 4 MiB)")
-    command.add_argument("--no-columnar", action="store_true",
-                         help="disable columnar batch execution and the "
-                              "shared predicate index; evaluate per-event "
-                              "compiled closures instead (the reference "
-                              "oracle path)")
     command.add_argument("--supervise", action="store_true",
                          help="supervise shard workers (requires --shards "
                               "> 1): probe liveness, detect dead/hung "
@@ -254,11 +264,12 @@ def _add_execution_options(command: argparse.ArgumentParser) -> None:
                          help="supervised recovery mode: 'auto' restarts "
                               "from a checkpoint when one exists and "
                               "migrates otherwise")
-    command.add_argument("--quarantine-errors", type=int, default=None,
-                         metavar="N",
+    command.add_argument("--quarantine-errors", type=_at_least(0),
+                         default=None, metavar="N",
                          help="quarantine a query after N fatal errors "
                               "instead of failing the run; other queries "
-                              "keep alerting")
+                              "keep alerting (0 disables quarantine: the "
+                              "first query error fails the run)")
     command.add_argument("--inject-fault", action="append", default=None,
                          metavar="SPEC", dest="inject_fault",
                          help="inject a fault for testing supervision "
@@ -286,7 +297,7 @@ def _checkpoint_store(args: argparse.Namespace):
     return CheckpointStore(
         args.checkpoint_dir,
         mode=getattr(args, "checkpoint_mode", "full") or "full",
-        rebase_interval=getattr(args, "checkpoint_rebase", None) or 8)
+        rebase_interval=args.checkpoint_rebase)
 
 
 def _fault_plan(args: argparse.Namespace):
@@ -317,8 +328,7 @@ def _make_scheduler(args: argparse.Namespace, sink: CallbackSink):
     """Build the scheduler the execution options select."""
     store = _checkpoint_store(args)
     interval = args.checkpoint_interval if store is not None else None
-    columnar = not getattr(args, "no_columnar", False)
-    quarantine = getattr(args, "quarantine_errors", None)
+    quarantine = args.quarantine_errors or None
     plan = _fault_plan(args)
     supervision = _supervision_policy(args)
     metrics_on = not getattr(args, "no_metrics", False)
@@ -334,7 +344,6 @@ def _make_scheduler(args: argparse.Namespace, sink: CallbackSink):
                                 rebalance_ratio=args.rebalance_ratio,
                                 checkpoint_store=store,
                                 checkpoint_interval=interval,
-                                columnar=columnar,
                                 supervision=supervision,
                                 quarantine_errors=quarantine,
                                 fault_plan=plan,
@@ -342,7 +351,6 @@ def _make_scheduler(args: argparse.Namespace, sink: CallbackSink):
     return ConcurrentQueryScheduler(sink=sink,
                                     checkpoint_store=store,
                                     checkpoint_interval=interval,
-                                    columnar=columnar,
                                     quarantine_errors=quarantine,
                                     metrics=MetricRegistry(
                                         enabled=metrics_on))
@@ -677,8 +685,7 @@ def _build_service(args: argparse.Namespace) -> SAQLService:
         checkpoint_interval=args.checkpoint_interval,
         checkpoint_mode=args.checkpoint_mode,
         checkpoint_rebase=args.checkpoint_rebase,
-        quarantine_errors=(args.quarantine_errors
-                           if args.quarantine_errors > 0 else None),
+        quarantine_errors=args.quarantine_errors or None,
         retry=RetryPolicy(max_attempts=args.retry_attempts,
                           timeout=args.retry_timeout,
                           backoff=BackoffPolicy(initial=0.05, maximum=2.0,

@@ -13,6 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import ConcurrentQueryScheduler, QueryEngine
+from repro.core.engine.multievent_matcher import DEFAULT_HORIZON
+from repro.events.entities import FileEntity, ProcessEntity
+from repro.events.event import Event, Operation
 from repro.events.stream import ListStream, iter_batches
 from repro.queries.demo_queries import DEMO_QUERIES
 
@@ -76,6 +79,59 @@ def test_engine_batches_match_per_event(name, streams):
             assert [_alert_fingerprint(a)
                     for a in engine.alerts] == reference
             assert engine.events_processed == len(events)
+
+
+# ---------------------------------------------------------------------------
+# Out-of-order events inside one batch
+# ---------------------------------------------------------------------------
+
+_PROC = ProcessEntity.make("a.exe", pid=1, host="h")
+_FILE = FileEntity.make("C:/x.bin", host="h")
+
+
+def _event(operation, timestamp, obj=_FILE):
+    return Event(subject=_PROC, operation=operation, obj=obj,
+                 timestamp=timestamp, agentid="h")
+
+
+#: Query and stream pairs whose last event is older than its predecessor
+#: and lands in state that per-event feeding retired at the predecessor.
+_OUT_OF_ORDER = {
+    # The t=25 write closes [0, 10); the late t=5 write re-opens it, so
+    # per-event feeding alerts on [0, 10) twice with n=1, not once with 2.
+    "late-window": (
+        'proc p write file f as e #time(10 sec)\n'
+        'state ss { n := count(e) } group by p\n'
+        'alert ss.n > 0\nreturn p, ss.n',
+        [_event(Operation.WRITE, 1.0), _event(Operation.WRITE, 25.0),
+         _event(Operation.WRITE, 5.0)]),
+    # The unmatched start event expires the t=7 partial sequence, so the
+    # late read completes nothing.
+    "late-sequence": (
+        'proc p write file f as e1\nproc p read file f as e2\n'
+        'with e1 -> e2\nreturn p, f',
+        [_event(Operation.WRITE, 7.0),
+         _event(Operation.START, DEFAULT_HORIZON + 10.0,
+                obj=ProcessEntity.make("b.exe", pid=2, host="h")),
+         _event(Operation.READ, DEFAULT_HORIZON + 5.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_ORDER))
+def test_out_of_order_batch_matches_per_event(case):
+    text, events = _OUT_OF_ORDER[case]
+    reference = [_alert_fingerprint(alert) for alert
+                 in QueryEngine(text, compiled=False).execute(events)]
+    engine = QueryEngine(text)
+    engine.process_events(events)
+    engine.finish()
+    assert [_alert_fingerprint(alert) for alert in engine.alerts] == reference
+    # Batches of one carry the late state across batch boundaries.
+    for size in (1, len(events)):
+        scheduler = ConcurrentQueryScheduler()
+        scheduler.add_query(text, name=case)
+        alerts = scheduler.execute(iter(events), batch_size=size)
+        assert [_alert_fingerprint(alert) for alert in alerts] == reference
 
 
 # ---------------------------------------------------------------------------

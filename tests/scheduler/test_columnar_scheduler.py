@@ -1,7 +1,8 @@
 """Unit tests for the scheduler's columnar fast path.
 
 Covers the pieces the equivalence suite cannot see directly: the
-tiny-batch threshold (no column block below ``columnar_min_batch``), the
+tiny-batch threshold (no column block below
+``DEFAULT_COLUMNAR_MIN_BATCH``), the
 predicate-sharing observability counters, and dynamic plan invalidation —
 the shared index must rebuild incrementally as queries are registered and
 removed mid-stream.
@@ -77,18 +78,6 @@ class TestTinyBatchThreshold:
             scheduler.process_event(event)
         assert scheduler.stats.column_blocks_built == 0
 
-    def test_custom_threshold(self):
-        scheduler = ConcurrentQueryScheduler(columnar_min_batch=4)
-        scheduler.add_query(EXFIL_READ, name="read")
-        scheduler.process_events(_db_events(3))
-        assert scheduler.stats.column_blocks_built == 0
-        scheduler.process_events(_db_events(4))
-        assert scheduler.stats.column_blocks_built == 1
-
-    def test_threshold_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ConcurrentQueryScheduler(columnar_min_batch=0)
-
     def test_tiny_batches_agree_with_columnar_batches(self):
         events = jittered_events(3, count=120)
         names = sorted(DEMO_QUERIES)
@@ -110,13 +99,13 @@ class TestTinyBatchThreshold:
 
 
 class TestObservability:
-    def _run(self, **kwargs):
-        scheduler = ConcurrentQueryScheduler(**kwargs)
+    def _run(self, batch_size=32):
+        scheduler = ConcurrentQueryScheduler()
         scheduler.add_query(EXFIL_READ, name="read")
         scheduler.add_query(EXFIL_SEND, name="send")
         scheduler.add_query(CLIENT_QUERY, name="client")
         scheduler.execute(ListStream(_db_events(64), presorted=True),
-                          batch_size=32)
+                          batch_size=batch_size)
         return scheduler
 
     def test_distinct_predicates_deduplicate_across_queries(self):
@@ -152,12 +141,12 @@ class TestObservability:
         # across the isolated groups are interned and evaluated once.
         assert isolated.stats.predicate_evaluations_saved > 0
 
-    def test_oracle_mode_reports_nothing(self):
-        scheduler = self._run(columnar=False)
+    def test_closure_batches_report_no_columnar_work(self):
+        scheduler = self._run(batch_size=DEFAULT_COLUMNAR_MIN_BATCH - 1)
         assert scheduler.stats.column_blocks_built == 0
+        assert scheduler.stats.predicate_evaluations == 0
         assert scheduler.stats.distinct_predicates == 0
         assert scheduler.stats.predicate_sharing == {}
-        assert scheduler.distinct_predicate_count() == 0
 
 
 class TestDynamicPlanInvalidation:

@@ -6,7 +6,8 @@ configured, its fatal errors are charged against a budget and the query
 is removed from dispatch once the budget is spent — visible in
 ``SchedulerStats.quarantined`` and the scheduler's ``quarantined``
 detail map — while every other query keeps alerting.  Re-registering
-the query re-arms its breaker.
+the query re-arms its breaker.  Without a budget the guard re-raises:
+the original error aborts the batch, on both batch shapes.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ import pytest
 from repro.core import ConcurrentQueryScheduler
 from repro.core.engine.error_reporter import ErrorReporter
 from repro.core.parallel import ShardedScheduler
+from repro.core.scheduler.concurrent import DEFAULT_COLUMNAR_MIN_BATCH
 from repro.events.entities import NetworkEntity, ProcessEntity
 from repro.events.event import Event, Operation
 from repro.testing import FaultPlan, FaultSpec
+from repro.testing.faults import InjectedCrash
 
 HOSTS = [f"host-{n}" for n in range(4)]
 
@@ -86,6 +89,97 @@ def test_without_budget_the_failure_stays_fatal():
     with pytest.raises(Exception):
         for start in range(0, 200, 50):
             scheduler.process_events(make_events()[start:start + 50])
+
+
+#: A query in a group of its own (its window differs from GOOD's) with a
+#: subject constraint no other query shares.
+LONER = ('proc p["%x.exe"] send ip i as evt #time(20)\n'
+         'state ss { n := count(evt.amount) } group by evt.agentid\n'
+         'alert ss.n > 0\nreturn ss.n')
+
+#: Where the poisoned query sits: alone in its group, or as the master
+#: of GOOD's group (GOOD then reuses its pattern matches, and must fall
+#: back to its own compiled pattern when the master's side raises).
+PLACEMENTS = {"own-group": LONER, "group-master": BROKEN}
+
+#: (poison, batch size): the closure path runs compiled closures, the
+#: columnar path predicate atoms; both run process_match_batch.
+SMALL, LARGE = DEFAULT_COLUMNAR_MIN_BATCH // 2, 4 * DEFAULT_COLUMNAR_MIN_BATCH
+POISONS = [("closure", SMALL), ("match-batch", SMALL),
+           ("predicate", LARGE), ("match-batch", LARGE)]
+
+
+class PoisonedClosure(RuntimeError):
+    """What a poisoned closure or predicate raises."""
+
+
+def _raise_poisoned(*_args):
+    raise PoisonedClosure("poisoned closure")
+
+
+def _poisoned_master(budget, poison, placement="own-group"):
+    """A poisoned query named "broken", registered first, plus GOOD.
+
+    Returns the scheduler and the exception type the poison raises.
+    """
+    scheduler = ConcurrentQueryScheduler(quarantine_errors=budget)
+    engine = scheduler.add_query(PLACEMENTS[placement], name="broken")
+    scheduler.add_query(GOOD, name="good")
+    if poison == "match-batch":
+        FaultPlan([FaultSpec("query-error", query="broken")]).install(
+            scheduler, position=0)
+        return scheduler, InjectedCrash
+    if poison == "closure":
+        compiled_set = engine.matcher.pattern_matcher.compiled_patterns
+        for compiled in compiled_set.patterns:
+            compiled._subject_ok = _raise_poisoned
+    else:
+        scheduler.distinct_predicate_count()  # builds the columnar plans
+        group = next(group for group in scheduler.groups
+                     if group.master is engine)
+        for pattern_plan in group.columnar_plan.master:
+            for atom in pattern_plan.atoms:
+                if atom.refcount == 1:  # subscribed by "broken" alone
+                    atom.check = _raise_poisoned
+    return scheduler, PoisonedClosure
+
+
+@pytest.mark.parametrize("poison,batch_size", POISONS)
+def test_without_budget_the_original_error_propagates(poison, batch_size):
+    scheduler, error = _poisoned_master(None, poison)
+    with pytest.raises(error):
+        scheduler.process_events(make_events()[:batch_size])
+    assert scheduler.error_reporter.fatal_count("broken") == 0
+
+
+@pytest.mark.parametrize("poison", ["closure", "match-batch"])
+def test_without_budget_process_event_raises(poison):
+    scheduler, error = _poisoned_master(None, poison)
+    with pytest.raises(error):
+        scheduler.process_event(make_events()[0])
+
+
+@pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+@pytest.mark.parametrize("poison,batch_size", POISONS)
+def test_budget_quarantines_the_poisoned_query(poison, batch_size,
+                                               placement):
+    scheduler, _ = _poisoned_master(3, poison, placement)
+    events = make_events()
+    alerts = []
+    for start in range(0, len(events), batch_size):
+        alerts.extend(scheduler.process_events(
+            events[start:start + batch_size]))
+    alerts.extend(scheduler.finish())
+    assert "broken" in scheduler.quarantined
+    assert scheduler.stats.quarantined["broken"] >= 3
+    assert not any(alert.query_name == "broken" for alert in alerts)
+    # The healthy query's alerts equal a fault-free run of it alone.
+    oracle = ConcurrentQueryScheduler()
+    oracle.add_query(GOOD, name="good")
+    expected = oracle.execute(iter(events), batch_size=batch_size)
+    good = [alert for alert in alerts if alert.query_name == "good"]
+    assert [(a.timestamp, a.data) for a in good] == \
+        [(a.timestamp, a.data) for a in expected]
 
 
 def test_reregistering_rearms_the_breaker():

@@ -107,3 +107,57 @@ class TestRunCommand:
         bad = tmp_path / "bad.saql"
         bad.write_text("this is not saql")
         assert main(["run", str(bad), "--database", str(events_path)]) == 1
+
+
+class TestExecutionFlagValidation:
+    """The integer flags shared by ``run``/``demo``/``serve`` parse alike."""
+
+    DEMO = ["demo", "--background-minutes", "5", "--attack-start", "60",
+            "--queries", "rule-c1-initial-compromise"]
+    COMMANDS = {
+        "demo": DEMO,
+        "run": ["run", "query.saql", "--database", "events.jsonl"],
+        "serve": ["serve"],
+    }
+
+    def test_quarantine_zero_disables_quarantine_on_demo(self, capsys):
+        assert main(self.DEMO + ["--quarantine-errors", "0"]) == 0
+        assert "quarantined" not in capsys.readouterr().err
+
+    def test_quarantine_zero_fails_fast_on_query_errors(self):
+        from repro.testing.faults import InjectedCrash
+
+        with pytest.raises(InjectedCrash):
+            main(self.DEMO + ["--quarantine-errors", "0", "--inject-fault",
+                              "query-error:query=rule-c1-initial-compromise"])
+
+    def test_quarantine_zero_disables_quarantine_on_run(self, tmp_path,
+                                                        capsys):
+        events_path = tmp_path / "demo.jsonl"
+        assert main(self.DEMO + ["--save-events", str(events_path)]) == 0
+        query_path = tmp_path / "c1.saql"
+        query_path.write_text(DEMO_QUERIES["rule-c1-initial-compromise"])
+        assert main(["run", str(query_path), "--database", str(events_path),
+                     "--quarantine-errors", "0"]) == 0
+        assert "ALERT" in capsys.readouterr().out
+
+    def test_quarantine_zero_disables_quarantine_on_serve(self):
+        from repro.ui.cli import _build_service, build_parser
+
+        args = build_parser().parse_args(["serve", "--quarantine-errors",
+                                          "0"])
+        assert _build_service(args).config.quarantine_errors is None
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("flag,value", [("--checkpoint-rebase", "0"),
+                                            ("--quarantine-errors", "-1")])
+    def test_out_of_range_values_are_rejected(self, command, flag, value,
+                                              capsys):
+        from repro.ui.cli import build_parser
+
+        # Parsing alone must reject the value: ``serve`` would otherwise
+        # start listening.
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(self.COMMANDS[command] + [flag, value])
+        assert raised.value.code != 0
+        assert flag in capsys.readouterr().err
